@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/tkd"
@@ -61,12 +62,11 @@ func TestErrorContract(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"query bad json", "POST", "/v1/query", nil, "{", http.StatusBadRequest, "bad_request"},
-		{"query k zero", "POST", "/v1/query", server.QueryRequest{Dataset: "file"}, "", http.StatusBadRequest, "bad_request"},
-		{"query bad algorithm", "POST", "/v1/query", server.QueryRequest{Dataset: "file", K: 3, Algorithm: "nope"}, "", http.StatusBadRequest, "bad_request"},
-		{"query unknown dataset", "POST", "/v1/query", server.QueryRequest{Dataset: "ghost", K: 3}, "", http.StatusNotFound, "dataset_not_found"},
-		{"scoped query contradiction", "POST", "/v1/datasets/file/query", server.QueryRequest{Dataset: "mem", K: 3}, "", http.StatusBadRequest, "bad_request"},
-		{"scoped query unknown dataset", "POST", "/v1/datasets/ghost/query", server.QueryRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
+		{"query bad json", "POST", "/v1/datasets/file/query", nil, "{", http.StatusBadRequest, "bad_request"},
+		{"query k zero", "POST", "/v1/datasets/file/query", server.QueryRequest{}, "", http.StatusBadRequest, "bad_request"},
+		{"query bad algorithm", "POST", "/v1/datasets/file/query", server.QueryRequest{K: 3, Algorithm: "nope"}, "", http.StatusBadRequest, "bad_request"},
+		{"query body names a dataset", "POST", "/v1/datasets/file/query", nil, `{"dataset":"mem","k":3}`, http.StatusBadRequest, "bad_request"},
+		{"query unknown dataset", "POST", "/v1/datasets/ghost/query", server.QueryRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
 		{"subscribe bad json", "POST", "/v1/datasets/file/subscribe", nil, "nope", http.StatusBadRequest, "bad_request"},
 		{"subscribe k zero", "POST", "/v1/datasets/file/subscribe", server.SubscribeRequest{}, "", http.StatusBadRequest, "bad_request"},
 		{"subscribe unknown dataset", "POST", "/v1/datasets/ghost/subscribe", server.SubscribeRequest{K: 3}, "", http.StatusNotFound, "dataset_not_found"},
@@ -131,28 +131,6 @@ func TestErrorContract(t *testing.T) {
 	}
 }
 
-// TestSubscribeShardedRefused: shard coordinators have no append/delta
-// publish path to hang a standing query on, and say so with a stable code.
-func TestSubscribeShardedRefused(t *testing.T) {
-	dir := t.TempDir()
-	csv := filepath.Join(dir, "d.csv")
-	writeCSV(t, tkd.GenerateIND(400, 3, 10, 0.2, 13), csv)
-	s := server.New(server.Config{Shards: 2})
-	defer s.Close()
-	if err := s.LoadCSVFile("d", csv, false); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/subscribe", server.SubscribeRequest{K: 3})
-	if code != http.StatusNotImplemented {
-		t.Fatalf("sharded subscribe answered %d (%s), want 501", code, body)
-	}
-	if got := decodeEnvelope(t, "sharded subscribe", body); got.Code != "not_subscribable" {
-		t.Fatalf("code %q, want not_subscribable", got.Code)
-	}
-}
-
 // TestRoutesRegistered: every route the table declares is actually wired
 // into the mux — a request to it must reach a handler, never the mux's own
 // plain-text 404/405.
@@ -204,10 +182,67 @@ func TestRoutesDocumented(t *testing.T) {
 	for _, code := range []string{
 		"bad_request", "dataset_not_found", "dataset_exists", "follower_readonly",
 		"ingest_disabled", "not_reloadable", "deadline_exceeded", "degraded_unavailable",
-		"draining", "wal_failed", "not_subscribable", "epoch_export_unsupported", "internal",
+		"draining", "wal_failed", "internal",
 	} {
 		if !strings.Contains(doc, "`"+code+"`") {
 			t.Errorf("README.md error-code glossary is missing `%s`", code)
 		}
+	}
+}
+
+// TestMetricsDocumented holds README.md to the metrics surface the way
+// TestRoutesDocumented holds it to the routes: every family /metrics
+// declares with a # TYPE line must be named in the first cell of a README
+// glossary row. The scrape covers the conditional families too: an ingest
+// leader emits the WAL and ingest families, and a sharded follower of it
+// the shard and follower ones.
+func TestMetricsDocumented(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]bool)
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "| `tkd_") {
+			continue
+		}
+		// Backticked names sit at the odd indices of the first cell.
+		parts := strings.Split(strings.Split(line, "|")[1], "`")
+		for i := 1; i < len(parts); i += 2 {
+			name, _, _ := strings.Cut(parts[i], "{")
+			documented[name] = true
+		}
+	}
+
+	d := newIngestDirs(t, tkd.GenerateIND(300, 3, 10, 0.2, 15))
+	leader, lts := startIngestServer(t, ingestConfig(d, 20*time.Millisecond), d)
+	defer func() { lts.Close(); leader.Close() }()
+	fol := server.New(server.Config{Follow: lts.URL, FollowInterval: 10 * time.Millisecond, Shards: 2})
+	fts := httptest.NewServer(fol)
+	defer func() { fts.Close(); fol.Close() }()
+	waitUntil(t, "follower bootstrap", func() bool {
+		_, ok := listDatasets(t, fts.URL)["d"]
+		return ok
+	})
+
+	families := 0
+	for _, url := range []string{lts.URL, fts.URL} {
+		code, body := doJSON(t, http.MethodGet, url+"/metrics", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET /metrics answered %d", code)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			rest, ok := strings.CutPrefix(line, "# TYPE ")
+			if !ok {
+				continue
+			}
+			families++
+			if name := strings.Fields(rest)[0]; !documented[name] {
+				t.Errorf("README.md metrics glossary has no row for %s (scraped from %s)", name, url)
+			}
+		}
+	}
+	if families == 0 {
+		t.Fatal("scraped no metric families")
 	}
 }

@@ -16,23 +16,32 @@ import (
 // 64-row append on the leader, the follower converges through a rows-since
 // delta that puts strictly fewer bytes on the wire than the full epoch
 // stream would, and both ends answer queries byte-identically under the
-// same fingerprint.
+// same fingerprint. A sharded follower applies the delta to its dataset
+// exactly like an unsharded one; its shard set re-slices on the new epoch.
 func TestFollowerDeltaSync(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testFollowerDeltaSync(t, shards) })
+	}
+}
+
+func testFollowerDeltaSync(t *testing.T, shards int) {
 	ref := tkd.GenerateIND(2000, 4, 20, 0.2, 91)
 	d := newIngestDirs(t, ref)
 	cfg := ingestConfig(d, 20*time.Millisecond)
 	cfg.DeltaPublish = true
-	cfg.DeltaShip = true
 	leader, lts := startIngestServer(t, cfg, d)
 	defer func() { lts.Close(); leader.Close() }()
 
-	fol := server.New(server.Config{Follow: lts.URL, FollowInterval: 10 * time.Millisecond})
+	fol := server.New(server.Config{Follow: lts.URL, FollowInterval: 10 * time.Millisecond, Shards: shards})
 	fts := httptest.NewServer(fol)
 	defer func() { fts.Close(); fol.Close() }()
 	waitUntil(t, "follower bootstrap", func() bool {
 		info, ok := listDatasets(t, fts.URL)["d"]
 		return ok && info.Followed && info.Objects == ref.Len()
 	})
+	if got := listDatasets(t, fts.URL)["d"].Shards; shards > 1 && got != shards {
+		t.Fatalf("follower serves %d shards, want %d", got, shards)
+	}
 
 	// Size the full stream before the append so the comparison is honest:
 	// this is what a non-delta sync of the grown epoch would at least cost.
@@ -47,8 +56,11 @@ func TestFollowerDeltaSync(t *testing.T) {
 		}
 	}
 	appendRows(t, lts.URL, rows)
+	// The publish counters move just after the epoch becomes visible, so
+	// wait for both before asserting which path the publish took.
 	waitFor(t, "leader publish", func() bool {
-		return datasetInfo(t, lts.URL).Objects == ref.Len()+64
+		info := datasetInfo(t, lts.URL)
+		return info.Objects == ref.Len()+64 && info.DeltaPublishes+info.RebuildPublishes > 0
 	})
 	if datasetInfo(t, lts.URL).DeltaPublishes < 1 {
 		t.Fatal("leader publish did not patch the index in place")
@@ -90,11 +102,11 @@ func TestFollowerDeltaSync(t *testing.T) {
 	}
 
 	// …and both ends rank identically.
-	lr, code := postQuery(t, lts.URL, server.QueryRequest{Dataset: "d", K: 10})
+	lr, code := postQuery(t, lts.URL, "d", server.QueryRequest{K: 10})
 	if code != http.StatusOK {
 		t.Fatalf("leader query answered %d", code)
 	}
-	fr, code := postQuery(t, fts.URL, server.QueryRequest{Dataset: "d", K: 10})
+	fr, code := postQuery(t, fts.URL, "d", server.QueryRequest{K: 10})
 	if code != http.StatusOK {
 		t.Fatalf("follower query answered %d", code)
 	}

@@ -48,12 +48,6 @@ const (
 	// errWALFailed: the write-ahead log rejected the append; the batch is
 	// not acked. 500.
 	errWALFailed = "wal_failed"
-	// errNotSubscribable: the dataset cannot host standing subscriptions in
-	// this serving mode. 501.
-	errNotSubscribable = "not_subscribable"
-	// errEpochExportUnsupported: the dataset cannot serve the epoch-stream
-	// endpoint. 501.
-	errEpochExportUnsupported = "epoch_export_unsupported"
 	// errInternal: everything else. 500.
 	errInternal = "internal"
 )

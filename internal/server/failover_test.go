@@ -87,7 +87,7 @@ func TestServerQueryDeadline(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		start := time.Now()
-		_, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 5, TimeoutMillis: 100})
+		_, code := postQuery(t, cts.URL, "big", server.QueryRequest{K: 5, TimeoutMillis: 100})
 		if code != http.StatusGatewayTimeout {
 			t.Fatalf("query %d: status %d, want 504", i, code)
 		}
@@ -95,7 +95,7 @@ func TestServerQueryDeadline(t *testing.T) {
 			t.Fatalf("query %d: deadline took %v to surface — the scheduler is wedged", i, d)
 		}
 	}
-	if _, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 5, TimeoutMillis: -1}); code != http.StatusBadRequest {
+	if _, code := postQuery(t, cts.URL, "big", server.QueryRequest{K: 5, TimeoutMillis: -1}); code != http.StatusBadRequest {
 		t.Fatalf("negative timeout: status %d, want 400", code)
 	}
 	if v := metricValue(t, fetchMetrics(t, cts.URL), "tkd_query_deadline_exceeded_total", `dataset="big"`); v < 2 {
@@ -129,7 +129,7 @@ func TestServerReplicaFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		qr, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 7})
+		qr, code := postQuery(t, cts.URL, "big", server.QueryRequest{K: 7})
 		if code != http.StatusOK {
 			t.Fatalf("query %d: status %d — failover did not absorb the dead replica", i, code)
 		}
@@ -174,11 +174,11 @@ func TestServerDegradedMode(t *testing.T) {
 	cts := httptest.NewServer(coord)
 	defer cts.Close()
 
-	if _, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 5}); code != http.StatusServiceUnavailable {
+	if _, code := postQuery(t, cts.URL, "big", server.QueryRequest{K: 5}); code != http.StatusServiceUnavailable {
 		t.Fatalf("fail-closed query: status %d, want 503", code)
 	}
 
-	qr, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 5, AllowPartial: true})
+	qr, code := postQuery(t, cts.URL, "big", server.QueryRequest{K: 5, AllowPartial: true})
 	if code != http.StatusOK {
 		t.Fatalf("allow_partial query: status %d, want 200", code)
 	}
@@ -206,7 +206,7 @@ func TestServerDegradedMode(t *testing.T) {
 	defer coord2.Close()
 	cts2 := httptest.NewServer(coord2)
 	defer cts2.Close()
-	qr2, code := postQuery(t, cts2.URL, server.QueryRequest{Dataset: "big", K: 5, AllowPartial: true})
+	qr2, code := postQuery(t, cts2.URL, "big", server.QueryRequest{K: 5, AllowPartial: true})
 	if code != http.StatusOK {
 		t.Fatalf("healthy allow_partial query: status %d", code)
 	}

@@ -212,12 +212,10 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		// Conditional fetch: the leader answers 304 with no body when the
 		// follower already serves these bytes.
 		req.Header.Set("X-TKD-Have-Fingerprint", fmt.Sprintf("%016x", e.ds.Fingerprint()))
-		if _, ok := e.ds.(*tkd.Dataset); ok {
-			// Advertise our epoch too: a delta-shipping leader whose append
-			// lineage covers it answers with just the rows appended since
-			// (X-TKD-Delta: 1) instead of the full stream.
-			req.Header.Set("X-TKD-Have-Epoch", strconv.FormatUint(e.ds.Epoch(), 10))
-		}
+		// Advertise our epoch too: a leader whose append lineage covers it
+		// answers with just the rows appended since (X-TKD-Delta: 1)
+		// instead of the full stream.
+		req.Header.Set("X-TKD-Have-Epoch", strconv.FormatUint(e.ds.Epoch(), 10))
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -273,28 +271,11 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 		}
 		return true, nil
 	}
-	switch d := e.ds.(type) {
-	case *tkd.Dataset:
-		// The binned index came over the stream; finish the remaining IBIG
-		// artifacts off to the side, then swap under the leader's number.
-		fresh.PrepareFor(tkd.IBIG)
-		d.ReplaceFromAt(fresh, epoch)
-		// Persist the shipped index so a restart warms from disk instead of
-		// re-fetching. A cache error is a cold restart, not a sync failure.
-		if c, err := newIndexCache(f.s.cfg.IndexDir); err == nil && c != nil {
-			if err := c.save(name, d); err != nil {
-				f.s.life.indexCacheErrors.Add(1)
-			}
-		}
-	case *tkd.ShardedDataset:
-		// Mirror handleReload's sharded path: swap first (the shard topology
-		// keys to the new epoch), then warm the local shards against it.
-		d.ReplaceFromAt(fresh, epoch)
-		if _, err := f.s.warmPrepare(name, d); err != nil {
-			f.s.life.indexCacheErrors.Add(1)
-		}
-	default:
-		return false, fmt.Errorf("dataset %q cannot accept an epoch swap", name)
+	// Swap under the leader's number exactly as a reload swaps. The warm-up
+	// finds the binned index the stream shipped (unsharded) and persists it,
+	// so a restart warms from disk instead of re-fetching.
+	if _, err := f.s.swapIn(e, fresh, epoch); err != nil {
+		return false, err
 	}
 	e.followed.Store(true)
 	e.leaderSeen.Store(epoch)
@@ -313,10 +294,6 @@ func (f *follower) syncOne(name string, sp *obs.Span) (applied bool, err error) 
 // advertised state is then unchanged) retries, and a leader whose lineage no
 // longer covers us falls back to the full stream on its own.
 func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Span) (bool, error) {
-	d, ok := e.ds.(*tkd.Dataset)
-	if !ok {
-		return false, fmt.Errorf("leader sent an epoch delta for %q but the local replica cannot patch", name)
-	}
 	imp := sp.StartChild("import")
 	dx, err := tkd.ReadEpochDelta(body)
 	imp.End()
@@ -327,19 +304,18 @@ func (f *follower) applyDelta(name string, e *entry, body io.Reader, sp *obs.Spa
 	defer pub.End()
 	pub.SetInt("epoch", int64(dx.Epoch))
 	pub.SetInt("delta_rows", int64(dx.Rows()))
-	if patched, err := d.ApplyEpochDelta(dx); err != nil {
+	if patched, err := e.ds.ApplyEpochDelta(dx); err != nil {
 		return false, fmt.Errorf("applying epoch delta for %q: %w", name, err)
 	} else if patched {
 		pub.SetStr("mode", "delta")
 	} else {
 		pub.SetStr("mode", "rebuild") // cold local index; rows still applied
 	}
-	// Persist the patched index so a restart warms from disk, exactly as the
-	// full-stream path does. A cache error is a cold restart, not a failure.
-	if c, err := newIndexCache(f.s.cfg.IndexDir); err == nil && c != nil {
-		if err := c.save(name, d); err != nil {
-			f.s.life.indexCacheErrors.Add(1)
-		}
+	// Warm the query view for the new epoch and persist its index so a
+	// restart warms from disk, exactly as the full-stream path does. A cache
+	// error is a cold restart, not a failure.
+	if _, err := f.s.warmPrepare(name, e.ds, e.sd); err != nil {
+		f.s.life.indexCacheErrors.Add(1)
 	}
 	e.followed.Store(true)
 	e.leaderSeen.Store(dx.Epoch)
@@ -372,11 +348,10 @@ func (s *Server) registerFollowed(name string, ds *tkd.Dataset, epoch uint64) er
 // X-TKD-Have-Fingerprint equal to the current fingerprint gets 304 and no
 // body — the steady-state poll costs a header exchange.
 //
-// Under Config.DeltaShip a follower that also advertises its current epoch
-// (X-TKD-Have-Epoch) may instead get the delta form — just the rows
-// appended since that epoch, marked by an X-TKD-Delta: 1 response header —
-// when the leader's append lineage proves the follower's state is a strict
-// prefix of the current one. Any doubt (stale base, divergent fingerprint,
+// A follower that also advertises its current epoch (X-TKD-Have-Epoch) may
+// instead get the delta form — just the rows appended since that epoch,
+// marked by an X-TKD-Delta: 1 response header — when the leader's append
+// lineage proves the follower's state is a strict prefix of the current one. Any doubt (stale base, divergent fingerprint,
 // non-append mutation since) silently falls back to the full stream, so a
 // delta-speaking follower is never worse off than a full-stream one.
 func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
@@ -386,26 +361,7 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, errDatasetNotFound, "unknown dataset %q", name)
 		return
 	}
-	var (
-		src          *tkd.Dataset
-		unsharded    *tkd.Dataset
-		includeIndex bool
-	)
-	switch d := e.ds.(type) {
-	case *tkd.Dataset:
-		// Unsharded leader: ship the binned index along so followers skip
-		// the dominant preprocessing cost.
-		src, unsharded, includeIndex = d, d, true
-	case *tkd.ShardedDataset:
-		// A sharded coordinator has no dataset-level index to offer — its
-		// indexes are per shard. Followers rebuild or warm-load their own.
-		src, includeIndex = d.Source(), false
-	default:
-		writeError(w, r, http.StatusNotImplemented, errEpochExportUnsupported,
-			"dataset %q does not support epoch export", name)
-		return
-	}
-	x := src.ExportEpoch()
+	x := e.ds.ExportEpoch()
 	fp := x.Fingerprint()
 	haveFP, haveFPOK := uint64(0), false
 	if have := r.Header.Get("X-TKD-Have-Fingerprint"); have != "" {
@@ -419,10 +375,10 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if s.cfg.DeltaShip && unsharded != nil && haveFPOK {
+	if haveFPOK {
 		if have := r.Header.Get("X-TKD-Have-Epoch"); have != "" {
 			if haveEpoch, err := strconv.ParseUint(have, 10, 64); err == nil && haveEpoch > 0 {
-				if dx, ok := unsharded.ExportEpochDelta(haveEpoch, haveFP); ok {
+				if dx, ok := e.ds.ExportEpochDelta(haveEpoch, haveFP); ok {
 					w.Header().Set("X-TKD-Epoch", strconv.FormatUint(dx.Epoch(), 10))
 					w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", dx.Fingerprint()))
 					w.Header().Set("X-TKD-Delta", "1")
@@ -442,7 +398,11 @@ func (s *Server) handleEpochStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-TKD-Epoch", strconv.FormatUint(x.Epoch(), 10))
 	w.Header().Set("X-TKD-Fingerprint", fmt.Sprintf("%016x", fp))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := x.Write(w, includeIndex); err != nil {
+	// An unsharded leader ships its binned index along so followers skip
+	// the dominant preprocessing cost. A sharded one has no dataset-level
+	// index to offer — its indexes are per shard — and followers build or
+	// warm-load their own.
+	if err := x.Write(w, e.sd == nil); err != nil {
 		// Headers are gone; all we can do is abort the stream (the import
 		// side will fail its checks) and surface the event in the log.
 		s.log.Warn("epoch stream aborted", "dataset", name, "err", err)

@@ -151,7 +151,7 @@ func TestFollowerBootstrapsFromLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, code := postQuery(t, fts.URL, server.QueryRequest{Dataset: "d", K: 5})
+	got, code := postQuery(t, fts.URL, "d", server.QueryRequest{K: 5})
 	if code != http.StatusOK {
 		t.Fatalf("follower query: HTTP %d", code)
 	}
@@ -259,14 +259,14 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body := []byte(`{"dataset":"big","k":5}`)
+			body := []byte(`{"k":5}`)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				resp, err := http.Post(lts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(lts.URL+"/v1/datasets/big/query", "application/json", bytes.NewReader(body))
 				if err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Sprintf("transport: %v", err))
@@ -319,7 +319,7 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 		t.Fatal("leader lost its sharded dataset")
 	}
 	for i := 0; i < 40; i++ {
-		if _, code := postQuery(t, lts.URL, server.QueryRequest{Dataset: "big", K: 5}); code != http.StatusOK {
+		if _, code := postQuery(t, lts.URL, "big", server.QueryRequest{K: 5}); code != http.StatusOK {
 			t.Fatalf("steady-state query %d: HTTP %d", i, code)
 		}
 	}
@@ -341,7 +341,7 @@ func TestFollowerRollingReloadE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, url := range []string{lts.URL, f1ts.URL, f2ts.URL} {
-		got, code := postQuery(t, url, server.QueryRequest{Dataset: "big", K: 5})
+		got, code := postQuery(t, url, "big", server.QueryRequest{K: 5})
 		if code != http.StatusOK {
 			t.Fatalf("final query on %s: HTTP %d", url, code)
 		}

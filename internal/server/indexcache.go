@@ -126,36 +126,51 @@ func (c *indexCache) saveStream(path string, fp uint64, save func(io.Writer) err
 	return os.Rename(tmp.Name(), path)
 }
 
-// tryLoad restores name's persisted index into ds (fingerprint-gated).
-func (c *indexCache) tryLoad(name string, ds *tkd.Dataset) (bool, error) {
-	return c.tryLoadStream(c.path(name), ds.Fingerprint(), ds.LoadIndex)
-}
-
 // save persists ds's binned index (building it if needed).
 func (c *indexCache) save(name string, ds *tkd.Dataset) error {
 	return c.saveStream(c.path(name), ds.Fingerprint(), ds.SaveIndex)
 }
 
-// tryLoadShard restores shard i's persisted index, keyed by the shard's
-// slice fingerprint so a changed row range rebuilds while unchanged shards
-// warm-load.
-func (c *indexCache) tryLoadShard(name string, i int, sd *tkd.ShardedDataset) (bool, error) {
-	fp, err := sd.ShardFingerprint(i)
-	if err != nil {
-		return false, err
-	}
-	return c.tryLoadStream(c.shardPath(name, i), fp, func(r io.Reader) error {
-		return sd.LoadShardIndex(i, r)
-	})
+// indexUnit is one persisted index file: its path, the fingerprint of the
+// data it indexes, and the hooks that restore and serialize it.
+type indexUnit struct {
+	path string
+	fp   uint64
+	load func(io.Reader) error
+	save func(io.Writer) error
 }
 
-// saveShard persists shard i's binned index.
-func (c *indexCache) saveShard(name string, i int, sd *tkd.ShardedDataset) error {
-	fp, err := sd.ShardFingerprint(i)
-	if err != nil {
-		return err
+// units lists the index files behind a query view; none when the cache is
+// disabled. A dataset served directly (sd nil) has one. A sharded one has a
+// file per shard with something to persist: in-process (remote shards warm
+// on their peers) and non-empty (a zero-row shard — more shards than rows —
+// has no index at all, and treating it as a cache error would leave a
+// permanent phantom corruption signal on /metrics). Shard files are keyed
+// by the shard's slice fingerprint, so a changed row range rebuilds while
+// unchanged shards warm-load.
+func (c *indexCache) units(name string, ds *tkd.Dataset, sd *tkd.ShardedDataset) []indexUnit {
+	if c == nil {
+		return nil
 	}
-	return c.saveStream(c.shardPath(name, i), fp, func(w io.Writer) error {
-		return sd.SaveShardIndex(i, w)
-	})
+	if sd == nil {
+		return []indexUnit{{c.path(name), ds.Fingerprint(), ds.LoadIndex, ds.SaveIndex}}
+	}
+	var out []indexUnit
+	for i := 0; i < sd.ShardCount(); i++ {
+		rows, err := sd.ShardRows(i)
+		if err != nil || rows == 0 || !sd.ShardIsLocal(i) {
+			continue
+		}
+		fp, err := sd.ShardFingerprint(i)
+		if err != nil {
+			continue
+		}
+		out = append(out, indexUnit{
+			path: c.shardPath(name, i),
+			fp:   fp,
+			load: func(r io.Reader) error { return sd.LoadShardIndex(i, r) },
+			save: func(w io.Writer) error { return sd.SaveShardIndex(i, w) },
+		})
+	}
+	return out
 }

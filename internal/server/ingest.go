@@ -35,8 +35,9 @@ import (
 //
 // Sharded datasets and replication followers do not ingest: a follower's
 // data is the leader's (mutations there get a 409 pointing at the leader),
-// and a sharded coordinator would need a cross-shard commit protocol this
-// server does not have.
+// and with remote peers an append on a sharded coordinator alone would fork
+// it from the peers' copies — keeping them level needs a cross-shard commit
+// protocol this server does not have.
 
 // ingestState is one dataset's WAL-backed ingest side: the log, the rows
 // logged but not yet folded into a published epoch, and the row accounting
@@ -45,7 +46,6 @@ import (
 type ingestState struct {
 	mu      sync.Mutex
 	log     *wal.Log
-	base    *tkd.Dataset
 	pending []wal.Row // logged, acked, not yet published
 	logged  uint64    // row records in the WAL (including recovered ones)
 	// published is the row count covered by the last durable checkpoint;
@@ -105,7 +105,7 @@ func (s *Server) openIngest(name string, base *tkd.Dataset) (*ingestState, error
 	if err != nil {
 		return nil, fmt.Errorf("server: wal for %q: %w", name, err)
 	}
-	ing := &ingestState{log: l, base: base}
+	ing := &ingestState{log: l}
 	ing.logged = uint64(len(rec.Rows))
 	ing.replayed = int64(len(rec.Rows))
 	if rec.HasCheckpoint {
@@ -377,7 +377,7 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 			tk[i] = tkd.Row{ID: r.ID, Values: r.Values}
 		}
 		var err error
-		if patched, err = ing.base.AppendRows(tk); err != nil {
+		if patched, err = e.ds.AppendRows(tk); err != nil {
 			// Cannot happen for rows the append handler validated; if it
 			// does (the dataset changed shape underneath us) the batch is
 			// rejected whole, the rows stay safe in the WAL, and a restart
@@ -388,13 +388,13 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 		}
 	} else {
 		for i, r := range rows {
-			if err := ing.base.Append(r.ID, r.Values...); err != nil {
+			if err := e.ds.Append(r.ID, r.Values...); err != nil {
 				pub.End()
 				root.End()
 				return i, fmt.Errorf("folding row %d of %d: %w", i+1, len(rows), err)
 			}
 		}
-		ing.base.PrepareFor(tkd.IBIG)
+		e.ds.PrepareFor(tkd.IBIG)
 	}
 	if patched {
 		ing.deltaPublishes.Add(1)
@@ -403,14 +403,14 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 		ing.rebuildPublishes.Add(1)
 		pub.SetStr("mode", "rebuild")
 	}
-	epoch := ing.base.Epoch()
+	epoch := e.ds.Epoch()
 	pub.SetInt("epoch", int64(epoch))
 	pub.End()
 
 	// Persist the rebuilt index so a restart warm-loads it; an error is a
 	// cold restart, not a failed publish.
 	if c, err := newIndexCache(s.cfg.IndexDir); err == nil && c != nil {
-		if err := c.save(e.name, ing.base); err != nil {
+		if err := c.save(e.name, e.ds); err != nil {
 			s.life.indexCacheErrors.Add(1)
 		}
 	}
@@ -420,7 +420,7 @@ func (s *Server) publishPendingLocked(e *entry) (int, error) {
 	// the disk. Failure is survivable — the rows are published and in the
 	// WAL, so a restart merely replays them again.
 	cpSp := root.StartChild("wal")
-	cpErr := lg.AppendCheckpoint(wal.Checkpoint{Rows: logged, Epoch: epoch, Fingerprint: ing.base.Fingerprint()})
+	cpErr := lg.AppendCheckpoint(wal.Checkpoint{Rows: logged, Epoch: epoch, Fingerprint: e.ds.Fingerprint()})
 	cpSp.End()
 
 	// The epoch is live regardless of how the checkpoint fared — wake the

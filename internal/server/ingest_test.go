@@ -137,7 +137,7 @@ func nan() float64 { var z float64; return z / z }
 // sameAnswer asserts the server's items equal a serial TopK over ref.
 func sameAnswer(t *testing.T, url string, ref *tkd.Dataset, k int) {
 	t.Helper()
-	qr, code := postQuery(t, url, server.QueryRequest{Dataset: "d", K: k})
+	qr, code := postQuery(t, url, "d", server.QueryRequest{K: k})
 	if code != http.StatusOK {
 		t.Fatalf("query answered %d", code)
 	}

@@ -76,7 +76,7 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1)
-	want, code := postQuery(t, ts1.URL, server.QueryRequest{Dataset: "d", K: 5})
+	want, code := postQuery(t, ts1.URL, "d", server.QueryRequest{K: 5})
 	if code != http.StatusOK {
 		t.Fatalf("cold query: HTTP %d", code)
 	}
@@ -114,7 +114,7 @@ func TestWarmRestartSkipsPrepare(t *testing.T) {
 	if got := sumMetric(t, m2, "tkd_index_builds_total"); got != 0 {
 		t.Fatalf("warm boot: %d builds, want 0", got)
 	}
-	got, code := postQuery(t, ts2.URL, server.QueryRequest{Dataset: "d", K: 5})
+	got, code := postQuery(t, ts2.URL, "d", server.QueryRequest{K: 5})
 	if code != http.StatusOK {
 		t.Fatalf("warm query: HTTP %d", code)
 	}
@@ -170,7 +170,7 @@ func TestReloadUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k})
+				qr, code := postQuery(t, ts.URL, "x", server.QueryRequest{K: k})
 				if code != http.StatusOK {
 					failed.Add(1)
 					t.Errorf("query during reload: HTTP %d", code)
@@ -219,7 +219,7 @@ func TestReloadUnderLoad(t *testing.T) {
 
 	// After the storm, the new epoch is authoritative and the epoch
 	// counter advanced.
-	qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "x", K: k})
+	qr, code := postQuery(t, ts.URL, "x", server.QueryRequest{K: k})
 	if code != http.StatusOK {
 		t.Fatalf("post-reload query: HTTP %d", code)
 	}
@@ -270,7 +270,7 @@ func TestEvictRegisterRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "y", K: k})
+				qr, code := postQuery(t, ts.URL, "y", server.QueryRequest{K: k})
 				switch code {
 				case http.StatusOK:
 					if len(qr.Items) != len(want.Items) {
@@ -311,7 +311,7 @@ func TestEvictRegisterRace(t *testing.T) {
 	wg.Wait()
 
 	// The dataset must be resident and consistent after the churn.
-	qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "y", K: k})
+	qr, code := postQuery(t, ts.URL, "y", server.QueryRequest{K: k})
 	if code != http.StatusOK {
 		t.Fatalf("post-churn query: HTTP %d", code)
 	}
@@ -348,7 +348,7 @@ func TestShutdownDrainsQueuedWindows(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			answers[i], codes[i] = postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: 4})
+			answers[i], codes[i] = postQuery(t, ts.URL, "ac", server.QueryRequest{K: 4})
 		}(i)
 	}
 	// Give the burst time to enqueue into the open window, then shut down
@@ -375,7 +375,7 @@ func TestShutdownDrainsQueuedWindows(t *testing.T) {
 		}
 	}
 	// Post-shutdown queries are refused, not hung.
-	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: 4}); code != http.StatusServiceUnavailable {
+	if _, code := postQuery(t, ts.URL, "ac", server.QueryRequest{K: 4}); code != http.StatusServiceUnavailable {
 		t.Fatalf("query after shutdown: HTTP %d, want 503", code)
 	}
 }
@@ -426,7 +426,7 @@ func TestLifecycleValidation(t *testing.T) {
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/ind", nil); code != http.StatusOK {
 		t.Fatalf("evict ind failed: HTTP %d", code)
 	}
-	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "ind", K: 3}); code != http.StatusNotFound {
+	if _, code := postQuery(t, ts.URL, "ind", server.QueryRequest{K: 3}); code != http.StatusNotFound {
 		t.Errorf("query evicted dataset: HTTP %d, want 404", code)
 	}
 	var dl struct {
@@ -532,7 +532,7 @@ func TestCorruptIndexCacheRebuilds(t *testing.T) {
 	if got := sumMetric(t, metrics, "tkd_index_cache_errors_total"); got == 0 {
 		t.Error("cache corruption not surfaced on tkd_index_cache_errors_total")
 	}
-	if _, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "c", K: 3}); code != http.StatusOK {
+	if _, code := postQuery(t, ts.URL, "c", server.QueryRequest{K: 3}); code != http.StatusOK {
 		t.Fatalf("query after corrupt-cache rebuild: HTTP %d", code)
 	}
 }

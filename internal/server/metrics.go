@@ -381,7 +381,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// compressed stay internally consistent within a single scrape.
 	cacheStats := make([]tkd.CacheStats, len(entries))
 	for i, e := range entries {
-		cacheStats[i] = e.ds.CacheStats()
+		cacheStats[i] = e.q.CacheStats()
 	}
 	fmt.Fprintf(w, "# HELP tkd_cache_hits_total Decompressed-column cache hits, by dataset.\n")
 	fmt.Fprintf(w, "# TYPE tkd_cache_hits_total counter\n")
@@ -438,12 +438,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	var sharded []shardedEntry
 	for _, e := range entries {
-		if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
+		if e.sd != nil {
 			sharded = append(sharded, shardedEntry{
 				name:     e.name,
-				n:        sd.ShardCount(),
-				m:        sd.Metrics(),
-				replicas: sd.ReplicaStates(),
+				n:        e.sd.ShardCount(),
+				m:        e.sd.Metrics(),
+				replicas: e.sd.ReplicaStates(),
 			})
 		}
 	}

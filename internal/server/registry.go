@@ -10,35 +10,37 @@ import (
 	"repro/tkd"
 )
 
-// Queryable is the dataset surface the serving layer needs: the query entry
-// point plus the lifecycle, cache and warm-start hooks. Both *tkd.Dataset
-// and *tkd.ShardedDataset implement it, which is what lets the registry
-// treat a sharded dataset like any other resident.
+// Queryable is the query-side view of a resident dataset: the query entry
+// point plus the warm-up and cache hooks, the only calls whose work differs
+// between serving a dataset directly (*tkd.Dataset) and through a
+// scatter-gather coordinator over it (*tkd.ShardedDataset). Everything about
+// the data itself — size, epoch, fingerprint, appends, epoch export — is
+// the dataset's, whatever the partitioning, and is read off entry.ds.
 type Queryable interface {
 	TopK(k int, opts ...tkd.Option) (tkd.Result, error)
-	Len() int
-	Dim() int
-	MissingRate() float64
-	Epoch() uint64
-	Fingerprint() uint64
+	PrepareFor(algs ...tkd.Algorithm)
 	IndexBuilds() int64
 	CacheStats() tkd.CacheStats
 	SetCacheBudget(bytes int64)
 	ReleaseCache()
-	ReplaceFrom(src *tkd.Dataset)
-	PrepareFor(algs ...tkd.Algorithm)
 }
 
-// entry is one resident dataset: the warm Queryable, its batch scheduler
-// and its metrics. The dataset pointer is stable for the entry's
+// entry is one resident dataset: the data, its query view, its batch
+// scheduler and its metrics. The dataset pointer is stable for the entry's
 // lifetime — hot reloads swap the data inside it (ReplaceFrom publishes a
 // new epoch), so the scheduler and in-flight queries never chase a moving
 // pointer.
 type entry struct {
 	name string
-	ds   Queryable
-	sch  *scheduler
-	met  *datasetMetrics
+	ds   *tkd.Dataset
+	// sd is the scatter-gather coordinator over ds when Config.Shards > 1
+	// and nil otherwise; it re-slices lazily on every epoch ds publishes.
+	sd *tkd.ShardedDataset
+	// q is the query view the scheduler and standing queries run on: sd
+	// when sharded, ds otherwise.
+	q   Queryable
+	sch *scheduler
+	met *datasetMetrics
 
 	// source of the data, recorded for /v1/datasets/{name}/reload; an
 	// empty path means the dataset was registered in-process and has

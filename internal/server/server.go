@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/query                  — {"dataset","k","algorithm","workers"} → ranked answer
+//	POST   /v1/datasets/{name}/query  — {"k","algorithm","workers"} → ranked answer
 //	GET    /v1/datasets               — resident datasets and their shapes
 //	POST   /v1/datasets               — {"name","path","negate"} registers a CSV at runtime
 //	POST   /v1/datasets/{name}/reload — rebuild from the source file, swap epochs, zero downtime
@@ -13,6 +13,9 @@
 //	DELETE /v1/datasets/{name}        — evict: drain the scheduler, release the cache, remove the WAL
 //	GET    /healthz                   — liveness
 //	GET    /metrics                   — Prometheus text: query/latency/pruning/cache/lifecycle counters
+//
+// Routes lists the full surface, including subscriptions, the follower
+// epoch stream and the internal shard RPCs.
 //
 // Concurrent requests against one dataset are coalesced by a per-dataset
 // batch scheduler (see scheduler.go) that shares the warm artifacts and the
@@ -156,12 +159,6 @@ type Config struct {
 	// index, shape change) transparently falls back to the rebuild. False
 	// keeps the legacy rebuild-every-publish behavior.
 	DeltaPublish bool
-	// DeltaShip lets the epoch-stream endpoint answer a follower that
-	// advertises its current epoch (X-TKD-Have-Epoch) with just the rows
-	// appended since — the follower patches its own index — instead of the
-	// full dataset+index stream. Falls back to the full stream whenever the
-	// follower's base is stale, divergent, or unknown.
-	DeltaShip bool
 }
 
 // Server is the HTTP query service. Create with New, register datasets with
@@ -195,7 +192,6 @@ type Route struct {
 // routes (and panics on a table/handler mismatch, so the two cannot drift),
 // and the docs-conformance test holds README.md to the same table.
 var apiRoutes = []Route{
-	{"POST", "/v1/query", "Top-k query, dataset named in the body (deprecated: use the dataset-scoped route)"},
 	{"POST", "/v1/datasets/{name}/query", "Top-k query against the named dataset"},
 	{"POST", "/v1/datasets/{name}/subscribe", "Standing top-k subscription (SSE or long-poll)"},
 	{"GET", "/v1/datasets", "List resident datasets"},
@@ -246,7 +242,6 @@ func New(cfg Config) *Server {
 	s.peer = shard.NewPeer(s.resolveShardData)
 	s.peer.SetQueryLog(s.qlog)
 	handlers := map[string]http.Handler{
-		"POST /v1/query":                     http.HandlerFunc(s.handleQuery),
 		"POST /v1/datasets/{name}/query":     http.HandlerFunc(s.handleDatasetQuery),
 		"POST /v1/datasets/{name}/subscribe": http.HandlerFunc(s.handleSubscribe),
 		"GET /v1/datasets":                   http.HandlerFunc(s.handleDatasets),
@@ -288,10 +283,9 @@ func New(cfg Config) *Server {
 // (persisted index when available, built — and persisted — otherwise) and
 // starts its batch scheduler. Datasets registered this way have no source
 // file, so /reload returns 409 for them; use LoadCSVFile or POST
-// /v1/datasets for reloadable datasets. A plain *tkd.Dataset is sharded
-// automatically when Config.Shards > 1; a pre-built *tkd.ShardedDataset is
-// registered as-is.
-func (s *Server) AddDataset(name string, ds Queryable) error {
+// /v1/datasets for reloadable datasets. The dataset is served through a
+// scatter-gather coordinator when Config.Shards > 1.
+func (s *Server) AddDataset(name string, ds *tkd.Dataset) error {
 	_, err := s.register(name, ds, "", false)
 	return err
 }
@@ -304,34 +298,22 @@ func (s *Server) ShardMetrics(name string) (m tkd.ShardMetrics, shards int, ok b
 	if !found {
 		return m, 0, false
 	}
-	sd, isSharded := e.ds.(*tkd.ShardedDataset)
-	if !isSharded {
+	if e.sd == nil {
 		return m, 0, false
 	}
-	return sd.Metrics(), sd.ShardCount(), true
+	return e.sd.Metrics(), e.sd.ShardCount(), true
 }
 
 // resolveShardData backs the /v1/shard/query and /v1/shard/health peer
 // endpoints: the frozen epoch data of a resident dataset plus its epoch
 // counter, whether it is served unsharded or is itself a scatter-gather
-// coordinator (peers slice the source either way).
+// coordinator (peers slice the dataset either way).
 func (s *Server) resolveShardData(name string) (*data.Dataset, uint64, bool) {
 	e, ok := s.reg.get(name)
 	if !ok {
 		return nil, 0, false
 	}
-	var (
-		ds    *data.Dataset
-		epoch uint64
-	)
-	switch d := e.ds.(type) {
-	case *tkd.Dataset:
-		ds, epoch = d.ShardData(), d.Epoch()
-	case *tkd.ShardedDataset:
-		ds, epoch = d.Source().ShardData(), d.Epoch()
-	default:
-		return nil, 0, false
-	}
+	ds, epoch := e.ds.ShardData(), e.ds.Epoch()
 	// A followed entry reports the leader's epoch numbering: a dataset
 	// adopted into following mid-life (pre-loaded from the same CSV) has a
 	// lower local counter for the very same bytes, and health probes should
@@ -356,7 +338,7 @@ func (s *Server) LoadCSVFile(name, path string, negate bool) error {
 
 // register installs a dataset; warm reports whether the persisted-index
 // cache supplied the index.
-func (s *Server) register(name string, ds Queryable, path string, negate bool) (warm bool, err error) {
+func (s *Server) register(name string, ds *tkd.Dataset, path string, negate bool) (warm bool, err error) {
 	if name == "" {
 		return false, fmt.Errorf("server: empty dataset name")
 	}
@@ -368,7 +350,8 @@ func (s *Server) register(name string, ds Queryable, path string, negate bool) (
 	if _, ok := s.reg.get(name); ok {
 		return false, fmt.Errorf("%w: %q", errDuplicate, name)
 	}
-	if base, ok := ds.(*tkd.Dataset); ok && s.cfg.Shards > 1 {
+	e := &entry{name: name, ds: ds, q: ds, met: &datasetMetrics{}, path: path, negate: negate}
+	if s.cfg.Shards > 1 {
 		opts := []tkd.ShardOption{tkd.WithShards(s.cfg.Shards)}
 		if len(s.cfg.ShardPeers) > 0 {
 			opts = append(opts, tkd.WithShardPeers(s.cfg.ShardPeers...))
@@ -385,158 +368,96 @@ func (s *Server) register(name string, ds Queryable, path string, negate bool) (
 		if s.cfg.HealthInterval > 0 {
 			opts = append(opts, tkd.WithShardHealthChecks(s.cfg.HealthInterval))
 		}
-		sharded, err := tkd.Shard(base, name, opts...)
-		if err != nil {
+		if e.sd, err = tkd.Shard(ds, name, opts...); err != nil {
 			return false, err
 		}
-		ds = sharded
+		e.q = e.sd
 	}
 	// Open the WAL and replay acked rows before warming: replay changes the
 	// data (and its fingerprint), so the index cache's fingerprint gate
 	// below decides correctly between warm-loading the checkpointed index
 	// and rebuilding over the replayed suffix.
-	var ing *ingestState
-	if base, ok := ds.(*tkd.Dataset); ok && s.ingestEnabled() {
-		ing, err = s.openIngest(name, base)
-		if err != nil {
+	if s.ingestEnabled() {
+		if e.ing, err = s.openIngest(name, ds); err != nil {
 			return false, err
 		}
 	}
-	warm, err = s.warmPrepare(name, ds)
+	warm, err = s.warmPrepare(name, ds, e.sd)
 	if err != nil {
-		if ing != nil {
-			ing.log.Close()
+		if e.ing != nil {
+			e.ing.log.Close()
 		}
 		return false, err
 	}
-	if ing != nil {
+	if e.ing != nil {
 		// The warm-up above published the recovered state (replayed suffix
 		// included); checkpoint it so the next restart skips the replay. A
 		// failed checkpoint only costs that restart a replay.
-		if err := ing.sealRecovery(ds.Epoch(), ds.Fingerprint()); err != nil {
+		if err := e.ing.sealRecovery(ds.Epoch(), ds.Fingerprint()); err != nil {
 			s.log.Warn("wal recovery checkpoint failed", "dataset", name, "err", err)
 		}
 	}
-	met := &datasetMetrics{}
-	sch := newScheduler(ds, s.adm, met, s.cfg.BatchWindow, s.cfg.MaxBatch, s.done)
-	e := &entry{
-		name:   name,
-		ds:     ds,
-		met:    met,
-		sch:    sch,
-		path:   path,
-		negate: negate,
-		ing:    ing,
-	}
+	e.sch = newScheduler(e.q, s.adm, e.met, s.cfg.BatchWindow, s.cfg.MaxBatch, s.done)
 	if err := s.reg.add(e); err != nil {
-		sch.stop() // lost a registration race; don't leak the goroutine
-		if ing != nil {
-			ing.log.Close() // the resident entry owns the segment files
+		e.sch.stop() // lost a registration race; don't leak the goroutine
+		if e.ing != nil {
+			e.ing.log.Close() // the resident entry owns the segment files
 		}
 		return false, err
 	}
 	return warm, nil
 }
 
-// warmPrepare gets ds query-ready: apply the cache budget, restore the
-// persisted binned index when the cache directory has a fingerprint match,
-// build (and persist) it otherwise, and eagerly finish the IBIG serving
-// artifacts so the first query is as fast as the thousandth. The
-// value-granular BIG bitmap — the most expensive artifact, needed only for
-// explicit BIG queries — builds lazily on first use. warm reports whether
-// the persisted index supplied the artifact (rebuild skipped). Sharded
-// datasets warm shard by shard: one cache file per shard, keyed by the
-// shard's slice fingerprint, so a restart (or a reload of an unchanged
-// file) skips rebuilds shard by shard and a partially valid cache still
-// saves most of the work.
-func (s *Server) warmPrepare(name string, ds Queryable) (warm bool, err error) {
-	if s.cfg.CacheBudget > 0 {
-		ds.SetCacheBudget(s.cfg.CacheBudget)
-	}
+// warmPrepare gets a query view ready: apply the cache budget, restore each
+// persisted binned index whose cache file has a fingerprint match, build the
+// rest, persist whatever the cache did not supply, and eagerly finish the
+// IBIG serving artifacts so the first query is as fast as the thousandth.
+// The value-granular BIG bitmap — the most expensive artifact, needed only
+// for explicit BIG queries — builds lazily on first use. The view is ds
+// served directly, or sd when non-nil, which warms shard by shard: one cache
+// file per shard, so a restart (or a reload of an unchanged file) skips
+// rebuilds shard by shard and a partially valid cache still saves most of
+// the work. warm reports whether the cache supplied every index (rebuilds
+// skipped).
+func (s *Server) warmPrepare(name string, ds *tkd.Dataset, sd *tkd.ShardedDataset) (warm bool, err error) {
 	ixc, err := newIndexCache(s.cfg.IndexDir)
 	if err != nil {
 		return false, err
 	}
-	if sd, ok := ds.(*tkd.ShardedDataset); ok {
-		return s.warmPrepareSharded(name, sd, ixc)
+	var q Queryable = ds
+	if sd != nil {
+		q = sd
 	}
-	// Index persistence needs the Save/LoadIndex hooks, which live on the
-	// concrete *tkd.Dataset; any other Queryable implementation skips the
-	// cache and simply prepares in-process.
-	base, persistable := ds.(*tkd.Dataset)
-	if ixc != nil && persistable {
-		ok, err := ixc.tryLoad(name, base)
+	if s.cfg.CacheBudget > 0 {
+		q.SetCacheBudget(s.cfg.CacheBudget)
+	}
+	units := ixc.units(name, ds, sd)
+	loaded := make([]bool, len(units))
+	for i, u := range units {
+		ok, err := ixc.tryLoadStream(u.path, u.fp, u.load)
 		if err != nil {
 			// A corrupt cache file is a miss, not an outage: rebuild below
 			// and overwrite it. Surface the event on /metrics.
 			s.life.indexCacheErrors.Add(1)
 		}
 		if ok {
-			warm = true
+			loaded[i] = true
 			s.life.indexWarmLoads.Add(1)
 		}
 	}
-	before := ds.IndexBuilds()
-	ds.PrepareFor(tkd.IBIG)
-	if built := ds.IndexBuilds() - before; built > 0 {
-		s.life.indexBuilds.Add(built)
-		if ixc != nil && persistable {
-			if err := ixc.save(name, base); err != nil {
-				s.life.indexCacheErrors.Add(1)
-			}
-		}
-	}
-	return warm, nil
-}
-
-// warmPrepareSharded is warmPrepare's per-shard flavour: restore every local
-// shard's persisted index, build the rest, persist what was built. warm
-// reports whether every local shard came from the cache.
-func (s *Server) warmPrepareSharded(name string, sd *tkd.ShardedDataset, ixc *indexCache) (warm bool, err error) {
-	// persistable marks the shards with something to persist: in-process
-	// (remote shards warm on their peers) and non-empty (a zero-row shard —
-	// more shards than rows — has no index at all, and treating it as a
-	// cache error would leave a permanent phantom corruption signal on
-	// /metrics).
-	persistable := func(i int) bool {
-		if !sd.ShardIsLocal(i) {
-			return false
-		}
-		rows, err := sd.ShardRows(i)
-		return err == nil && rows > 0
-	}
-	loaded := make([]bool, sd.ShardCount())
-	if ixc != nil {
-		for i := range loaded {
-			if !persistable(i) {
-				continue
-			}
-			ok, err := ixc.tryLoadShard(name, i, sd)
-			if err != nil {
-				s.life.indexCacheErrors.Add(1)
-			}
-			if ok {
-				loaded[i] = true
-				s.life.indexWarmLoads.Add(1)
-			}
-		}
-	}
-	before := sd.IndexBuilds()
-	sd.PrepareFor(tkd.IBIG)
-	if built := sd.IndexBuilds() - before; built > 0 {
+	before := q.IndexBuilds()
+	q.PrepareFor(tkd.IBIG)
+	if built := q.IndexBuilds() - before; built > 0 {
 		s.life.indexBuilds.Add(built)
 	}
-	warm = true
-	for i := range loaded {
-		if !persistable(i) {
-			continue
-		}
+	// An index the cache did not supply — built here, or shipped by a
+	// replication leader — is persisted so a restart warm-loads it.
+	warm = ixc != nil
+	for i, u := range units {
 		if !loaded[i] {
 			warm = false
-			if ixc != nil {
-				if err := ixc.saveShard(name, i, sd); err != nil {
-					s.life.indexCacheErrors.Add(1)
-				}
+			if err := ixc.saveStream(u.path, u.fp, u.save); err != nil {
+				s.life.indexCacheErrors.Add(1)
 			}
 		}
 	}
@@ -557,8 +478,8 @@ func (s *Server) Close() {
 		// Retire the replica-set health loops of every sharded resident so
 		// their goroutines do not outlive the server.
 		for _, e := range s.reg.list() {
-			if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
-				sd.Close()
+			if e.sd != nil {
+				e.sd.Close()
 			}
 			if e.ing != nil {
 				e.ing.log.Close()
@@ -597,10 +518,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // ---- wire types ----
 
-// QueryRequest is the POST /v1/query body.
+// QueryRequest is the POST /v1/datasets/{name}/query body.
 type QueryRequest struct {
-	Dataset string `json:"dataset"`
-	K       int    `json:"k"`
+	K int `json:"k"`
 	// Algorithm is one of Naive, ESB, UBB, BIG, IBIG; empty selects IBIG.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Workers fans candidate scoring across that many goroutines: 1 (the
@@ -644,7 +564,7 @@ type QueryStats struct {
 	Windows       int   `json:"windows"`
 }
 
-// QueryResponse is the POST /v1/query answer.
+// QueryResponse is the POST /v1/datasets/{name}/query answer.
 type QueryResponse struct {
 	Dataset   string `json:"dataset"`
 	K         int    `json:"k"`
@@ -742,20 +662,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleQuery serves the legacy body-addressed POST /v1/query (the dataset
-// named in the body). POST /v1/datasets/{name}/query is the resource-style
-// spelling of the same query; both run serveQuery.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, "")
-}
-
-// handleDatasetQuery serves POST /v1/datasets/{name}/query: the same body
-// as /v1/query with the dataset taken from the path.
+// handleDatasetQuery serves POST /v1/datasets/{name}/query.
 func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, r.PathValue("name"))
-}
-
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset string) {
 	if s.draining.Load() {
 		writeError(w, r, http.StatusServiceUnavailable, errDraining, "server: shutting down")
 		return
@@ -766,16 +674,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
 		return
-	}
-	if pathDataset != "" {
-		// Resource route: the path names the dataset. A body that names a
-		// different one is a contradiction, not a tiebreak.
-		if req.Dataset != "" && req.Dataset != pathDataset {
-			writeError(w, r, http.StatusBadRequest, errBadRequest,
-				"body dataset %q contradicts path dataset %q", req.Dataset, pathDataset)
-			return
-		}
-		req.Dataset = pathDataset
 	}
 	if req.K <= 0 {
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "k must be positive")
@@ -798,9 +696,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 		writeError(w, r, http.StatusBadRequest, errBadRequest, "timeout_millis must be >= 0")
 		return
 	}
-	e, ok := s.reg.get(req.Dataset)
+	name := r.PathValue("name")
+	e, ok := s.reg.get(name)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, errDatasetNotFound, "unknown dataset %q", req.Dataset)
+		writeError(w, r, http.StatusNotFound, errDatasetNotFound, "unknown dataset %q", name)
 		return
 	}
 
@@ -825,7 +724,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 	// caller's trace); a malformed or absent header is ignored, never a 4xx.
 	tr := obs.Adopt(r.Header.Get("traceparent"), "query")
 	root := tr.Root()
-	root.SetStr("dataset", req.Dataset)
+	root.SetStr("dataset", name)
 	root.SetInt("k", int64(req.K))
 	root.SetStr("algorithm", alg.String())
 
@@ -835,7 +734,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 		// Scheduler-path failure: the deadline fired (or the client left)
 		// while the query waited or ran for its window-mates, or the
 		// scheduler is draining/shut down.
-		s.finishQuery(tr, &req, alg, start, false, err)
+		s.finishQuery(tr, name, &req, alg, start, false, err)
 		status, code := http.StatusServiceUnavailable, errDraining
 		if errors.Is(err, context.DeadlineExceeded) {
 			status, code = http.StatusGatewayTimeout, errDeadlineExceeded
@@ -858,17 +757,17 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 		case errors.As(rep.err, new(*shard.Unavailable)):
 			status, code = http.StatusServiceUnavailable, errDegradedUnavailable
 		}
-		s.finishQuery(tr, &req, alg, start, rep.coalesced, rep.err)
+		s.finishQuery(tr, name, &req, alg, start, rep.coalesced, rep.err)
 		writeErrorTrace(w, tr.ID(), status, code, "%v", rep.err)
 		return
 	}
-	s.finishQuery(tr, &req, alg, start, rep.coalesced, nil)
+	s.finishQuery(tr, name, &req, alg, start, rep.coalesced, nil)
 	items := make([]QueryItem, len(rep.res.Items))
 	for i, it := range rep.res.Items {
 		items[i] = QueryItem{Rank: i + 1, Index: it.Index, ID: it.ID, Score: it.Score}
 	}
 	resp := QueryResponse{
-		Dataset:   req.Dataset,
+		Dataset:   name,
 		K:         req.K,
 		Algorithm: alg.String(),
 		Workers:   rep.granted,
@@ -906,14 +805,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, pathDataset 
 // exceeded. A coalesced reply shares another query's execution subtree, so
 // only its own queue wait feeds the stage histograms — the shared engine,
 // scatter, gather and retry spans are observed once, on the hosting query.
-func (s *Server) finishQuery(tr *obs.Trace, req *QueryRequest, alg core.Algorithm, start time.Time, coalesced bool, qerr error) {
+func (s *Server) finishQuery(tr *obs.Trace, name string, req *QueryRequest, alg core.Algorithm, start time.Time, coalesced bool, qerr error) {
 	root := tr.Root()
 	root.End()
 	elapsed := time.Since(start)
 	s.stages.observeTrace(tr, coalesced)
 	entry := obs.QueryEntry{
 		Time:      start,
-		Dataset:   req.Dataset,
+		Dataset:   name,
 		K:         req.K,
 		Algorithm: alg.String(),
 		Duration:  elapsed,
@@ -927,7 +826,7 @@ func (s *Server) finishQuery(tr *obs.Trace, req *QueryRequest, alg core.Algorith
 	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
 		s.log.Warn("slow query",
 			"trace_id", tr.ID().String(),
-			"dataset", req.Dataset,
+			"dataset", name,
 			"k", req.K,
 			"algorithm", alg.String(),
 			"duration_ms", float64(elapsed.Microseconds())/1000,
@@ -1003,13 +902,13 @@ func (s *Server) datasetInfo(e *entry) DatasetInfo {
 		Dims:        e.ds.Dim(),
 		MissingRate: e.ds.MissingRate(),
 		Queries:     e.met.queryTotal(),
-		CacheBytes:  e.ds.CacheStats().Bytes,
+		CacheBytes:  e.q.CacheStats().Bytes,
 		Epoch:       e.ds.Epoch(),
 		Reloads:     e.met.reloads.Load(),
 		Source:      e.path,
 	}
-	if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
-		info.Shards = sd.ShardCount()
+	if e.sd != nil {
+		info.Shards = e.sd.ShardCount()
 	}
 	if e.followed.Load() {
 		info.Followed = true
@@ -1146,38 +1045,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			"reload of %q from %s produced an empty dataset", name, e.path)
 		return
 	}
-	var warm bool
-	if _, sharded := e.ds.(*tkd.ShardedDataset); sharded {
-		// A sharded entry swaps first, then warms: the shard topology is
-		// keyed to the new epoch, so the per-shard indexes can only build
-		// (or warm-load, for an unchanged file) against it. Queries racing
-		// the warm-up block briefly on the shard-set build; none fail.
-		e.ds.ReplaceFrom(fresh)
-		// The swap is live from here on. The peer cache rebuilds lazily on
-		// the next scatter call (retaining the pre-reload epoch as the
-		// one-epoch grace for coordinators still mid-query on it), and the
-		// response must report the reload as served even if the warm-up
-		// below hits a cache problem (claiming failure for an epoch that
-		// already took effect would be worse than a cold cache — which is
-		// all a warm-up error means).
-		warm, err = s.warmPrepare(name, e.ds)
-		if err != nil {
-			s.life.indexCacheErrors.Add(1)
-			warm, err = false, nil
-		}
-	} else {
-		// Unsharded: build the replacement's index entirely off to the
-		// side, then swap — ReplaceFrom carries the warm artifacts over.
-		warm, err = s.warmPrepare(name, fresh)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, errInternal, "%v", err)
-			return
-		}
-		e.ds.ReplaceFrom(fresh)
-		// Coordinators holding cached slices of the pre-reload epoch keep
-		// getting them for one more epoch: the peer cache rebuilds on the
-		// next scatter call and retains the retired epoch as its grace
-		// predecessor, so their in-flight queries finish instead of 409ing.
+	warm, err := s.swapIn(e, fresh, 0)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, errInternal, "%v", err)
+		return
 	}
 	if e.ing != nil {
 		// A reload declares the source file authoritative: rows ingested
@@ -1205,6 +1076,37 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// swapIn publishes fresh as e's next epoch — numbered epoch when that moves
+// the counter forward, the next local number when epoch is 0 — and warms
+// the query view for it. An unsharded entry warms fresh entirely off to the
+// side, then swaps, and ReplaceFromAt carries the warm artifacts over. A
+// sharded entry swaps first, then warms: the shard topology is keyed to the
+// new epoch, so the per-shard indexes can only build (or warm-load, for
+// unchanged data) against it. Queries racing that warm-up block briefly on
+// the shard-set build; none fail. Once the swap is live a warm-up error is
+// counted, not returned: claiming failure for an epoch that already took
+// effect would be worse than a cold cache, which is all the error means.
+//
+// Either way, coordinators holding cached slices of the pre-swap epoch keep
+// getting them for one more epoch: the peer cache rebuilds on the next
+// scatter call and retains the retired epoch as its grace predecessor, so
+// their in-flight queries finish instead of 409ing.
+func (s *Server) swapIn(e *entry, fresh *tkd.Dataset, epoch uint64) (warm bool, err error) {
+	if e.sd == nil {
+		if warm, err = s.warmPrepare(e.name, fresh, nil); err != nil {
+			return false, err
+		}
+		e.ds.ReplaceFromAt(fresh, epoch)
+		return warm, nil
+	}
+	e.ds.ReplaceFromAt(fresh, epoch)
+	if warm, err = s.warmPrepare(e.name, e.ds, e.sd); err != nil {
+		s.life.indexCacheErrors.Add(1)
+		return false, nil
+	}
+	return warm, nil
+}
+
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.reg.remove(name)
@@ -1216,9 +1118,9 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	// then the scheduler goroutine exits and the cache budget is released —
 	// including any shard slices the peer endpoint cached for coordinators.
 	e.sch.drainStop()
-	e.ds.ReleaseCache()
-	if sd, ok := e.ds.(*tkd.ShardedDataset); ok {
-		sd.Close()
+	e.q.ReleaseCache()
+	if e.sd != nil {
+		e.sd.Close()
 	}
 	if e.ing != nil {
 		// The WAL dies with the dataset: acked-but-unpublished rows are

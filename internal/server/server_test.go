@@ -53,12 +53,12 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 	return s, ts, ref
 }
 
-func postQuery(t *testing.T, url string, req server.QueryRequest) (server.QueryResponse, int) {
+func postQuery(t *testing.T, url, dataset string, req server.QueryRequest) (server.QueryResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/datasets/"+dataset+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/query: %v", err)
+		t.Fatalf("POST /v1/datasets/%s/query: %v", dataset, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -134,8 +134,8 @@ func TestEndToEnd(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			q := shapes[g%len(shapes)]
-			qr, code := postQuery(t, ts.URL, server.QueryRequest{
-				Dataset: q.dataset, K: q.k, Algorithm: q.alg, Workers: q.workers,
+			qr, code := postQuery(t, ts.URL, q.dataset, server.QueryRequest{
+				K: q.k, Algorithm: q.alg, Workers: q.workers,
 			})
 			if code != http.StatusOK {
 				t.Errorf("query %+v: HTTP %d", q, code)
@@ -260,7 +260,7 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "ac", K: 5, Algorithm: "IBIG"})
+			qr, code := postQuery(t, ts.URL, "ac", server.QueryRequest{K: 5, Algorithm: "IBIG"})
 			if code != http.StatusOK {
 				t.Errorf("HTTP %d", code)
 				return
@@ -293,27 +293,28 @@ func TestCoalescing(t *testing.T) {
 func TestValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{})
 	cases := []struct {
-		req  server.QueryRequest
-		code int
+		dataset string
+		req     server.QueryRequest
+		code    int
 	}{
-		{server.QueryRequest{Dataset: "nope", K: 3}, http.StatusNotFound},
-		{server.QueryRequest{Dataset: "ac", K: 0}, http.StatusBadRequest},
-		{server.QueryRequest{Dataset: "ac", K: 3, Algorithm: "QUICKSORT"}, http.StatusBadRequest},
-		{server.QueryRequest{Dataset: "ac", K: 3, Workers: -1}, http.StatusBadRequest},
+		{"nope", server.QueryRequest{K: 3}, http.StatusNotFound},
+		{"ac", server.QueryRequest{K: 0}, http.StatusBadRequest},
+		{"ac", server.QueryRequest{K: 3, Algorithm: "QUICKSORT"}, http.StatusBadRequest},
+		{"ac", server.QueryRequest{K: 3, Workers: -1}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		if _, code := postQuery(t, ts.URL, c.req); code != c.code {
-			t.Errorf("%+v: HTTP %d, want %d", c.req, code, c.code)
+		if _, code := postQuery(t, ts.URL, c.dataset, c.req); code != c.code {
+			t.Errorf("%s %+v: HTTP %d, want %d", c.dataset, c.req, code, c.code)
 		}
 	}
 	// GET on the query endpoint is rejected.
-	resp, err := http.Get(ts.URL + "/v1/query")
+	resp, err := http.Get(ts.URL + "/v1/datasets/ac/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/query: HTTP %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/datasets/ac/query: HTTP %d, want 405", resp.StatusCode)
 	}
 }
 

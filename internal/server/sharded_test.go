@@ -76,7 +76,7 @@ func TestShardedServing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "big", K: k, Algorithm: alg})
+			qr, code := postQuery(t, ts.URL, "big", server.QueryRequest{K: k, Algorithm: alg})
 			if code != http.StatusOK {
 				t.Fatalf("%s k=%d: status %d", alg, k, code)
 			}
@@ -143,7 +143,7 @@ func TestShardedServing(t *testing.T) {
 		t.Fatalf("reload status %d", resp.StatusCode)
 	}
 	want, _ := ref.TopK(8)
-	qr, _ := postQuery(t, ts.URL, server.QueryRequest{Dataset: "big", K: 8})
+	qr, _ := postQuery(t, ts.URL, "big", server.QueryRequest{K: 8})
 	for i, it := range qr.Items {
 		w := want.Items[i]
 		if it.Index != w.Index || it.Score != w.Score {
@@ -185,7 +185,7 @@ func TestShardedServing(t *testing.T) {
 	if builds == nil || builds[1] != "0" {
 		t.Fatalf("warm restart: tkd_index_builds_total = %v, want 0", builds)
 	}
-	qr, code := postQuery(t, ts2.URL, server.QueryRequest{Dataset: "big", K: 8})
+	qr, code := postQuery(t, ts2.URL, "big", server.QueryRequest{K: 8})
 	if code != http.StatusOK {
 		t.Fatalf("warm-restart query status %d", code)
 	}
@@ -231,7 +231,7 @@ func TestShardedServingRemotePeers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qr, code := postQuery(t, cts.URL, server.QueryRequest{Dataset: "big", K: 9, Algorithm: alg})
+		qr, code := postQuery(t, cts.URL, "big", server.QueryRequest{K: 9, Algorithm: alg})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", alg, code)
 		}
@@ -288,7 +288,7 @@ func TestShardedTinyDatasetMoreShardsThanUseful(t *testing.T) {
 	defer ts.Close()
 
 	want, _ := tkd.GenerateIND(5, 3, 5, 0.2, 1).TopK(3)
-	qr, code := postQuery(t, ts.URL, server.QueryRequest{Dataset: "tiny", K: 3})
+	qr, code := postQuery(t, ts.URL, "tiny", server.QueryRequest{K: 3})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}

@@ -217,19 +217,17 @@ func (g *standingRegistry) evaluate(e *entry, sq *standingQuery, appended int) {
 	sq.mu.Unlock()
 
 	if seeded && full && appended > 0 {
-		if d, ok := e.ds.(*tkd.Dataset); ok {
-			if affects, ok := d.AppendImpact(appended, tau); ok && !affects {
-				// Proof: none of the appended rows can score ≥ τ, and no
-				// existing object gained a dominated point — the ranked
-				// answer is bit-identical, skip the engine.
-				g.tauSkips.Add(1)
-				return
-			}
+		if affects, ok := e.ds.AppendImpact(appended, tau); ok && !affects {
+			// Proof: none of the appended rows can score ≥ τ, and no
+			// existing object gained a dominated point — the ranked answer
+			// is bit-identical, skip the engine.
+			g.tauSkips.Add(1)
+			return
 		}
 	}
 
 	g.evals.Add(1)
-	res, err := e.ds.TopK(sq.key.k, tkd.WithAlgorithm(sq.key.alg))
+	res, err := e.q.TopK(sq.key.k, tkd.WithAlgorithm(sq.key.alg))
 	if err != nil {
 		// An evaluation raced a reload/evict; the next publish retries.
 		return
@@ -327,14 +325,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, errDatasetNotFound, "unknown dataset %q", name)
 		return
 	}
-	if _, ok := e.ds.(*tkd.Dataset); !ok {
-		// Standing queries live off the single-node append/delta publish
-		// path; a sharded dataset has no such path to hang them on.
-		writeError(w, r, http.StatusNotImplemented, errNotSubscribable,
-			"dataset %q is sharded; standing subscriptions need an unsharded dataset", name)
-		return
-	}
-
 	sq, dirty := s.standing.acquire(standingKey{dataset: name, k: req.K, alg: alg})
 	defer s.standing.release(sq, dirty)
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,6 +204,89 @@ func TestStandingSSE(t *testing.T) {
 	}
 	if len(second.Items) != 3 || second.Items[0].ID != "q" {
 		t.Fatalf("pushed answer = %+v, want q at rank 1", second.Items)
+	}
+}
+
+// sseEvents opens an SSE subscription on dataset d with the given request
+// body and returns a reader yielding each event's raw data line.
+func sseEvents(t *testing.T, url, body string) func() string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/datasets/d/subscribe", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cancel(); resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe answered %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	return func() string {
+		t.Helper()
+		for sc.Scan() {
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				return data
+			}
+		}
+		t.Fatalf("stream ended: %v", sc.Err())
+		return ""
+	}
+}
+
+// TestSubscribeSharded: a sharded dataset hosts standing subscriptions like
+// any other. The connect snapshot is byte-identical to the unsharded
+// server's over the same CSV, and a reload pushes a new version that still
+// matches the unsharded answer.
+func TestSubscribeSharded(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "d.csv")
+	writeCSV(t, tkd.GenerateIND(400, 3, 10, 0.2, 13), csv)
+	urls := make([]string, 2)
+	for i, shards := range []int{1, 2} {
+		s := server.New(server.Config{Shards: shards})
+		if err := s.LoadCSVFile("d", csv, false); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		urls[i] = ts.URL
+	}
+	plain, sharded := sseEvents(t, urls[0], `{"k":5}`), sseEvents(t, urls[1], `{"k":5}`)
+
+	want, got := plain(), sharded()
+	if got != want {
+		t.Fatalf("sharded connect snapshot differs from unsharded:\n got %s\nwant %s", got, want)
+	}
+	var first server.StandingEvent
+	if err := json.Unmarshal([]byte(got), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Version == 0 || len(first.Items) != 5 {
+		t.Fatalf("connect snapshot: version %d, %d items", first.Version, len(first.Items))
+	}
+
+	writeCSV(t, tkd.GenerateIND(400, 3, 10, 0.2, 14), csv)
+	for _, url := range urls {
+		if code, body := doJSON(t, http.MethodPost, url+"/v1/datasets/d/reload", nil); code != http.StatusOK {
+			t.Fatalf("reload answered %d: %s", code, body)
+		}
+	}
+	want, got = plain(), sharded()
+	if got != want {
+		t.Fatalf("sharded answer after reload differs from unsharded:\n got %s\nwant %s", got, want)
+	}
+	var second server.StandingEvent
+	if err := json.Unmarshal([]byte(got), &second); err != nil {
+		t.Fatal(err)
+	}
+	if second.Version <= first.Version || second.Epoch <= first.Epoch {
+		t.Fatalf("reload pushed version %d epoch %d, want past version %d epoch %d",
+			second.Version, second.Epoch, first.Version, first.Epoch)
 	}
 }
 

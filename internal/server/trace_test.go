@@ -16,9 +16,9 @@ import (
 
 // postQueryRaw posts a query body with optional headers and returns the raw
 // response bytes and status.
-func postQueryRaw(t *testing.T, url string, body string, headers map[string]string) ([]byte, int) {
+func postQueryRaw(t *testing.T, url, dataset, body string, headers map[string]string) ([]byte, int) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/query", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/datasets/"+dataset+"/query", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExplainReturnsTraceTree(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	raw, code := postQueryRaw(t, ts.URL, `{"dataset":"big","k":5,"algorithm":"IBIG","explain":true}`, nil)
+	raw, code := postQueryRaw(t, ts.URL, "big", `{"k":5,"algorithm":"IBIG","explain":true}`, nil)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
@@ -153,7 +153,7 @@ func TestExplainOffLeavesResponseUnchanged(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	raw, code := postQueryRaw(t, ts.URL, `{"dataset":"big","k":4}`, nil)
+	raw, code := postQueryRaw(t, ts.URL, "big", `{"k":4}`, nil)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -186,7 +186,7 @@ func TestTraceparentAdoption(t *testing.T) {
 
 	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 	const sid = "00f067aa0ba902b7"
-	raw, code := postQueryRaw(t, ts.URL, `{"dataset":"big","k":3,"explain":true}`,
+	raw, code := postQueryRaw(t, ts.URL, "big", `{"k":3,"explain":true}`,
 		map[string]string{"traceparent": "00-" + tid + "-" + sid + "-01"})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
@@ -208,7 +208,7 @@ func TestTraceparentAdoption(t *testing.T) {
 		"ff-" + tid + "-" + sid + "-01",                     // reserved version
 		strings.ToUpper("00-" + tid + "-" + sid + "-01"),
 	} {
-		raw, code := postQueryRaw(t, ts.URL, `{"dataset":"big","k":3,"explain":true}`,
+		raw, code := postQueryRaw(t, ts.URL, "big", `{"k":3,"explain":true}`,
 			map[string]string{"traceparent": malformed})
 		if code != http.StatusOK {
 			t.Fatalf("traceparent %q: status %d — malformed headers must be ignored, not rejected", malformed, code)
@@ -251,7 +251,7 @@ func TestRemoteTracePropagation(t *testing.T) {
 	cts := httptest.NewServer(coord)
 	defer cts.Close()
 
-	raw, code := postQueryRaw(t, cts.URL, `{"dataset":"big","k":6,"algorithm":"IBIG","explain":true}`, nil)
+	raw, code := postQueryRaw(t, cts.URL, "big", `{"k":6,"algorithm":"IBIG","explain":true}`, nil)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
@@ -332,7 +332,7 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, code := postQueryRaw(t, ts.URL, `{"dataset":"big","k":4}`, nil); code != http.StatusOK {
+		if _, code := postQueryRaw(t, ts.URL, "big", `{"k":4}`, nil); code != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, code)
 		}
 	}
@@ -397,7 +397,7 @@ func TestStageMetricsExposed(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	if _, code := postQueryRaw(t, ts.URL, `{"dataset":"big","k":5}`, nil); code != http.StatusOK {
+	if _, code := postQueryRaw(t, ts.URL, "big", `{"k":5}`, nil); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	body := getURL2(t, ts.URL+"/metrics")

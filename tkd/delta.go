@@ -344,8 +344,8 @@ func ReadEpochDelta(r io.Reader) (*EpochDelta, error) {
 	if dlen == 0 || dlen > maxEpochData {
 		return nil, fmt.Errorf("tkd: delta stream rows section of %d bytes is out of range", dlen)
 	}
-	raw := make([]byte, dlen)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := readSection(r, dlen)
+	if err != nil {
 		return nil, fmt.Errorf("tkd: delta stream rows section: %w", err)
 	}
 	rows, err := data.ReadCSV(bytes.NewReader(raw))

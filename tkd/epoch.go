@@ -44,6 +44,17 @@ var epochMagic = [8]byte{'T', 'K', 'D', 'E', 'P', 'O', '1', '\n'}
 // engine cannot serve datasets anywhere near this large anyway).
 const maxEpochData = 1 << 32
 
+// readSection reads a section of exactly n bytes. The buffer grows as bytes
+// arrive instead of being sized from n up front, so a corrupt or hostile
+// header declaring gigabytes costs only what the stream actually carries.
+func readSection(r io.Reader, n uint64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(raw)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return raw, err
+}
+
 // EpochExport pins one published epoch of a dataset for replication: the
 // epoch number, the data fingerprint and a Write method that streams both
 // data and index from that same snapshot, immune to concurrent reloads.
@@ -141,8 +152,8 @@ func ImportEpoch(r io.Reader) (*Dataset, uint64, error) {
 	}
 	// Buffer the data section whole: the CSV reader must not consume a byte
 	// of the index section that follows it.
-	raw := make([]byte, dlen)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := readSection(r, dlen)
+	if err != nil {
 		return nil, 0, fmt.Errorf("tkd: epoch stream data section: %w", err)
 	}
 	ds, err := data.ReadCSV(bytes.NewReader(raw))

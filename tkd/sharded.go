@@ -117,7 +117,8 @@ func WithShardPeerTimeout(d time.Duration) ShardOption {
 // scores, pruning across shards with the pushed-down global τ (see package
 // repro/internal/shard for the protocol).
 //
-// The wrapped Dataset remains the mutation surface: Append, Negate and
+// The wrapped Dataset remains the mutation surface — and the one place to
+// read the data's size, epoch and fingerprint: Append, Negate and
 // ReplaceFrom publish epochs exactly as before, and the shard set follows —
 // a query that observes a new epoch rebuilds the slices (and their indexes)
 // before running. Queries in flight keep the shard set they started with;
@@ -155,6 +156,15 @@ func (s *shardSet) close() {
 	for i := range s.slots {
 		if rs, ok := s.slots[i].Load().b.(*shard.ReplicaSet); ok {
 			rs.Close()
+		}
+	}
+}
+
+// releaseCache drops every in-process slot's decompressed-column cache.
+func (s *shardSet) releaseCache() {
+	for i := range s.slots {
+		if l, ok := s.slots[i].Load().b.(*shard.Local); ok {
+			l.ReleaseCache()
 		}
 	}
 }
@@ -242,9 +252,12 @@ func (sd *ShardedDataset) set() *shardSet {
 	old := sd.cur.Load()
 	sd.cur.Store(ns)
 	if old != nil {
-		// Retire the old epoch's health loops; in-flight queries on the old
-		// set are unaffected (close never touches the query path).
+		// Retire the old epoch's health loops and drop its decompressed-column
+		// caches so the swap returns their budget now; in-flight queries on
+		// the old set are unaffected (close never touches the query path, and
+		// a released cache only re-decompresses on further touches).
 		old.close()
+		old.releaseCache()
 	}
 	return ns
 }
@@ -421,54 +434,6 @@ func (sd *ShardedDataset) Close() {
 	}
 }
 
-// ---- the Dataset query surface, for the serving layer ----
-
-// Len returns the number of objects; Dim the dimensionality.
-func (sd *ShardedDataset) Len() int { return sd.src.Len() }
-
-// Dim returns the dataset dimensionality.
-func (sd *ShardedDataset) Dim() int { return sd.src.Dim() }
-
-// MissingRate returns the fraction of missing cells.
-func (sd *ShardedDataset) MissingRate() float64 { return sd.src.MissingRate() }
-
-// Epoch returns the source dataset's epoch counter.
-func (sd *ShardedDataset) Epoch() uint64 { return sd.src.Epoch() }
-
-// Fingerprint digests the full dataset contents.
-func (sd *ShardedDataset) Fingerprint() uint64 { return sd.src.Fingerprint() }
-
-// ReplaceFrom hot-swaps the underlying data (see Dataset.ReplaceFrom). The
-// shard set rebuilds lazily: the first query on the new epoch slices and
-// indexes it; queries still in flight finish on the old shard set.
-func (sd *ShardedDataset) ReplaceFrom(src *Dataset) {
-	old := sd.cur.Load()
-	sd.src.ReplaceFrom(src)
-	sd.releaseRetired(old)
-}
-
-// ReplaceFromAt is ReplaceFrom with an externally assigned epoch number (see
-// Dataset.ReplaceFromAt) — a replication follower serving a sharded resident
-// publishes the leader's epoch through it.
-func (sd *ShardedDataset) ReplaceFromAt(src *Dataset, epoch uint64) {
-	old := sd.cur.Load()
-	sd.src.ReplaceFromAt(src, epoch)
-	sd.releaseRetired(old)
-}
-
-// releaseRetired drops the retired shard set's decompressed-column caches so
-// a swap returns its budget immediately.
-func (sd *ShardedDataset) releaseRetired(old *shardSet) {
-	if old == nil {
-		return
-	}
-	for i := range old.slots {
-		if l, ok := old.slots[i].Load().b.(*shard.Local); ok {
-			l.ReleaseCache()
-		}
-	}
-}
-
 // SetCacheBudget bounds the decompressed-column caches across all shards to
 // bytes in total (split evenly).
 func (sd *ShardedDataset) SetCacheBudget(bytes int64) {
@@ -514,11 +479,7 @@ func (sd *ShardedDataset) CacheStats() CacheStats {
 // ReleaseCache drops every shard's decompressed-column cache.
 func (sd *ShardedDataset) ReleaseCache() {
 	if s := sd.cur.Load(); s != nil {
-		for i := range s.slots {
-			if l, ok := s.slots[i].Load().b.(*shard.Local); ok {
-				l.ReleaseCache()
-			}
-		}
+		s.releaseCache()
 	}
 }
 

@@ -238,7 +238,7 @@ func TestShardedConcurrentReload(t *testing.T) {
 					return
 				}
 				if i%7 == 3 {
-					sd.ReplaceFrom(replacement)
+					ds.ReplaceFrom(replacement)
 				}
 			}
 		}(g)
